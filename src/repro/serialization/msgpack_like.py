@@ -4,7 +4,9 @@ Implements the subset of the MessagePack wire format that the containers
 and applications need: nil, bool, integers (fixint through int64/uint64),
 float64, str, bin, array, map, and one ext slot for registered custom
 types.  The encoding matches real MessagePack byte-for-byte for the
-supported types, so the tests can assert against known vectors.
+supported types, so the tests can assert against known vectors.  Python
+values with no msgpack type (sets, numpy arrays, ints beyond 64 bits)
+travel as ext types of their own, so no user map is ever mistaken for one.
 
 No external library is used — the offline environment has none, and the
 paper's point is only that DataBox can plug different backends.
@@ -19,6 +21,8 @@ __all__ = ["MsgpackCodec", "pack", "unpack"]
 
 _EXT_CUSTOM = 0x42  # single ext type code carrying (type_tag, payload)
 _EXT_NDARRAY = 0x4E  # numpy arrays: (dtype_str, shape, raw bytes)
+_EXT_SET = 0x53  # set/frozenset: array of its items
+_EXT_BIGINT = 0x49  # int outside 64 bits: its hex string
 
 
 class _Packer:
@@ -82,14 +86,13 @@ class _Packer:
                 self.pack(k)
                 self.pack(v)
         elif isinstance(obj, (set, frozenset)):
-            # Sets are not native msgpack; encode as ext-free sorted array
-            # inside a custom envelope handled by the DataBox layer, or —
-            # when reached directly — as a tagged map {"__set__": [...]}.
+            # Sets are not native msgpack: an ext holding their items,
+            # sorted when they allow it so the encoding is deterministic.
             try:
                 items = sorted(obj)
             except TypeError:
                 items = list(obj)
-            self.pack({"__set__": items})
+            self._pack_ext(_EXT_SET, pack(items, self.custom_encoder))
         elif type(obj).__module__ == "numpy" and hasattr(obj, "tobytes"):
             # numpy arrays/scalars: dtype + shape + raw buffer as an ext.
             import numpy as np
@@ -141,7 +144,7 @@ class _Packer:
         else:
             # Out of 64-bit range: arbitrary-precision escape hatch (not
             # standard msgpack, but Python ints are unbounded).
-            self.pack({"__bigint__": hex(v)})
+            self._pack_ext(_EXT_BIGINT, pack(hex(v)))
 
 
 class _Unpacker:
@@ -214,19 +217,18 @@ class _Unpacker:
     def _array(self, n: int) -> list:
         return [self.unpack() for _ in range(n)]
 
-    def _map(self, n: int) -> Any:
+    def _map(self, n: int) -> dict:
         out = {}
         for _ in range(n):
             k = self.unpack()
             out[k] = self.unpack()
-        if len(out) == 1:
-            if "__set__" in out:
-                return set(out["__set__"])
-            if "__bigint__" in out and isinstance(out["__bigint__"], str):
-                return int(out["__bigint__"], 16)
         return out
 
     def _ext(self, ext_type: int, body: bytes) -> Any:
+        if ext_type == _EXT_SET:
+            return set(unpack(body, self.custom_decoder))
+        if ext_type == _EXT_BIGINT:
+            return int(unpack(body), 16)
         if ext_type == _EXT_NDARRAY:
             import numpy as np
 

@@ -37,7 +37,7 @@ class PriorityQueueEmpty(Exception):
 
 
 class _MNode:
-    __slots__ = ("key", "coord", "values", "children", "marked")
+    __slots__ = ("key", "coord", "values", "children", "marked", "pending")
 
     def __init__(self, key: int, coord: Tuple[int, ...], dims: int):
         self.key = key
@@ -45,6 +45,7 @@ class _MNode:
         self.values: List[Any] = []  # FIFO among equal priorities
         self.children: List[Optional[_MNode]] = [None] * dims
         self.marked = False
+        self.pending = False  # listed in the queue's _pending purge list
 
 
 class MDListPriorityQueue:
@@ -68,6 +69,7 @@ class MDListPriorityQueue:
         self._head.marked = True
         self._count = 0
         self._marked_count = 0
+        self._pending: List[_MNode] = []  # marked since the last purge
         self._stamp = 0
         self._lock = threading.Lock()
         self.purges_total = 0
@@ -192,6 +194,9 @@ class MDListPriorityQueue:
             if not node.values:
                 node.marked = True
                 self._marked_count += 1
+                if not node.pending:  # a revived node is already listed
+                    node.pending = True
+                    self._pending.append(node)
                 if self._marked_count >= self.PURGE_THRESHOLD:
                     stats.relocations += self._purge()
             return node.key, value, stats
@@ -232,29 +237,49 @@ class MDListPriorityQueue:
         return None, hops
 
     def _purge(self) -> int:
-        """Physically unlink marked nodes (the background purge pass).
+        """Physically unlink the marked nodes (the background purge pass).
 
-        Rebuilds the structure from live nodes — O(N) like a real purge's
-        amortized compaction; returns number of nodes removed.
+        Only the nodes ``pop_min`` marked since the last purge are visited;
+        those a push has revived are skipped.  ``_locate`` finds each
+        still-marked node's exact parent slot, and ``_unlink`` replaces it
+        there by its heir.  The MDList's shape is a function of the key set
+        it holds, so the result is the shape a rebuild from the live nodes
+        would give, at O(marked * (dims + base)) instead of O(N).  Returns
+        the number of nodes removed.
         """
-        live: List[Tuple[int, List[Any]]] = []
         removed = 0
-        for node in self._preorder():
-            if node.marked:
-                removed += 1
-            else:
-                live.append((node.key, node.values))
-        self._head.children = [None] * self.dims
+        for node in self._pending:
+            node.pending = False
+            if not node.marked:
+                continue
+            _node, pred, pred_dim, _adopt, _hops = self._locate(node.coord)
+            self._unlink(node, pred, pred_dim)
+            removed += 1
+        self._pending = []
         self._marked_count = 0
         self.purges_total += 1
-        # Re-splice live nodes; sorted order makes every insert O(dims).
-        for key, values in live:
-            coord = self.coordinate(key)
-            _node, pred, pred_dim, adopt_dim, _h = self._locate(coord)
-            fresh = _MNode(key, coord, self.dims)
-            fresh.values = values
-            self._splice(fresh, pred, pred_dim, adopt_dim)
         return removed
+
+    def _unlink(self, node: _MNode, pred: _MNode, pred_dim: int) -> None:
+        """Remove ``node`` from ``pred.children[pred_dim]``.
+
+        The reverse of ``_splice``'s child adoption: the *heir*, ``node``'s
+        highest-dimension child, holds the smallest key of ``node``'s
+        subtree and takes its slot.  Every other child at dimension ``j``
+        in ``[pred_dim, heir_dim)`` first differs from the heir at ``j``
+        too, so the heir inherits it there; the heir itself has no children
+        below ``heir_dim``, the dimension it was attached at.
+        """
+        children = node.children
+        heir_dim = self.dims - 1
+        while heir_dim >= pred_dim and children[heir_dim] is None:
+            heir_dim -= 1
+        if heir_dim < pred_dim:
+            pred.children[pred_dim] = None
+            return
+        heir = children[heir_dim]
+        heir.children[pred_dim:heir_dim] = children[pred_dim:heir_dim]
+        pred.children[pred_dim] = heir
 
     # -- introspection ----------------------------------------------------------------
     def items(self) -> Iterator[Tuple[int, Any]]:
@@ -266,6 +291,7 @@ class MDListPriorityQueue:
 
     def check_invariants(self) -> None:
         seen = 0
+        marked = 0
         last_key = -1
         for node in self._preorder():
             assert self.coordinate(node.key) == node.coord, "coord mismatch"
@@ -273,18 +299,30 @@ class MDListPriorityQueue:
                 f"preorder not sorted: {node.key} after {last_key}"
             )
             last_key = node.key
-            if not node.marked:
+            if node.marked:
+                marked += 1
+                assert node.pending, f"marked node {node.key} not pending"
+            else:
                 seen += len(node.values)
         assert seen == self._count, f"live values {seen} != count {self._count}"
+        assert marked == self._marked_count, (
+            f"marked nodes {marked} != marked count {self._marked_count}"
+        )
 
-        # Structural: every child is adopted at its first-diff dimension.
-        stack = [self._head]
+        # Structural: every child is adopted at its first-diff dimension,
+        # and no node has a child below the dimension it is attached at
+        # (the head counts as attached at dimension 0).
+        stack = [(self._head, 0)]
         while stack:
-            node = stack.pop()
+            node, attached = stack.pop()
             for d, child in enumerate(node.children):
                 if child is None:
                     continue
-                stack.append(child)
+                assert d >= attached, (
+                    f"node {node.key} attached at {attached} has a child "
+                    f"at dimension {d}"
+                )
+                stack.append((child, d))
                 if node is self._head:
                     continue
                 assert child.coord[:d] == node.coord[:d], "prefix broken"

@@ -7,7 +7,7 @@ FIFO and priority ordering, persistence recoverability.
 
 import heapq
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.memory import Allocator, AllocationError, PersistentLog
@@ -44,6 +44,11 @@ key_ops = st.lists(
 
 class TestMsgpackProperties:
     @given(json_like)
+    # One-key maps that look like the codec's own set/bigint encodings
+    # must come back as the maps they are.
+    @example({"__set__": ""})
+    @example({"__set__": None})
+    @example({"__bigint__": "0x1"})
     @settings(max_examples=150, deadline=None)
     def test_roundtrip(self, value):
         assert unpack(pack(value)) == value

@@ -8,7 +8,7 @@ import pytest
 
 from repro.structures import MDListPriorityQueue, OptimisticQueue
 from repro.structures.lfqueue import QueueEmpty
-from repro.structures.mdlist import PriorityQueueEmpty
+from repro.structures.mdlist import PriorityQueueEmpty, _MNode
 
 
 class TestOptimisticQueue:
@@ -200,3 +200,123 @@ class TestMDList:
             stats = pq.push(rng.randrange(1 << 32), None)  # key_limit is 16^8
             worst = max(worst, stats.local_ops)
         assert worst <= 8 * 16 + 8
+
+
+class _RebuildPurgePQ(MDListPriorityQueue):
+    """Reference purge: rebuild the whole structure from its live nodes."""
+
+    def _purge(self) -> int:
+        live = []
+        removed = 0
+        for node in self._preorder():
+            if node.marked:
+                removed += 1
+            else:
+                live.append((node.key, node.values))
+        self._head.children = [None] * self.dims
+        self._marked_count = 0
+        self._pending = []
+        self.purges_total += 1
+        for key, values in live:
+            coord = self.coordinate(key)
+            _node, pred, pred_dim, adopt_dim, _h = self._locate(coord)
+            fresh = _MNode(key, coord, self.dims)
+            fresh.values = values
+            self._splice(fresh, pred, pred_dim, adopt_dim)
+        return removed
+
+
+def _shape(pq):
+    """Every node as (parent key, dimension, key, marked, values)."""
+    out = []
+    stack = [pq._head]
+    while stack:
+        node = stack.pop()
+        for d, child in enumerate(node.children):
+            if child is not None:
+                out.append((node.key, d, child.key, child.marked,
+                            tuple(child.values)))
+                stack.append(child)
+    return out
+
+
+def _stats_fields(stats):
+    return (stats.local_ops, stats.reads, stats.writes, stats.cas_ops,
+            stats.relocations)
+
+
+class TestMDListInPlacePurge:
+    """The in-place purge must leave exactly the rebuild's structure."""
+
+    @staticmethod
+    def _step_both(pq, ref, op, *args):
+        out = getattr(pq, op)(*args)
+        want = getattr(ref, op)(*args)
+        if op == "push":
+            assert _stats_fields(out) == _stats_fields(want)
+        else:
+            assert out[:2] == want[:2]
+            assert _stats_fields(out[2]) == _stats_fields(want[2])
+        assert pq.purges_total == ref.purges_total
+        return out
+
+    @pytest.mark.parametrize(
+        "dims,base", [(1, 64), (9, 8), (3, 3), (2, 16), (8, 16), (5, 2)])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_random_mix_matches_rebuild(self, dims, base, seed):
+        limit = base ** dims
+        pq = MDListPriorityQueue(dims=dims, base=base)
+        ref = _RebuildPurgePQ(dims=dims, base=base)
+        # Small key spaces never hold 64 marked nodes: purge sooner there.
+        pq.PURGE_THRESHOLD = ref.PURGE_THRESHOLD = min(
+            MDListPriorityQueue.PURGE_THRESHOLD, limit // 3)
+        rng = random.Random(seed * 1000 + dims * 100 + base)
+        popped = []
+        for i in range(1500):
+            r = rng.random()
+            if len(pq) and r < 0.45:
+                key = self._step_both(pq, ref, "pop_min")[0]
+                popped.append(key)
+            elif popped and r < 0.6:
+                # Revive a node that may still be marked.
+                self._step_both(pq, ref, "push", rng.choice(popped[-8:]), i)
+            else:
+                span = limit if rng.random() < 0.3 else min(limit, 400)
+                self._step_both(pq, ref, "push", rng.randrange(span), i)
+            assert _shape(pq) == _shape(ref)
+            if i % 50 == 0:
+                pq.check_invariants()
+        while len(pq):
+            self._step_both(pq, ref, "pop_min")
+        assert _shape(pq) == _shape(ref)
+        assert pq.purges_total >= 1
+        pq.check_invariants()
+        ref.check_invariants()
+
+    def test_revived_node_survives_purge(self):
+        pq = MDListPriorityQueue(dims=4, base=8)
+        ref = _RebuildPurgePQ(dims=4, base=8)
+        for k in range(0, 400, 2):
+            self._step_both(pq, ref, "push", k, k)
+        for _ in range(pq.PURGE_THRESHOLD - 1):  # marks 0, 2, ..., 124
+            self._step_both(pq, ref, "pop_min")
+        self._step_both(pq, ref, "push", 124, "revived")
+        relocations = 0
+        for k in (1, 3):  # new nodes below the revived one
+            self._step_both(pq, ref, "push", k, k)
+            relocations += self._step_both(pq, ref, "pop_min")[2].relocations
+        assert pq.purges_total == 1
+        assert relocations == pq.PURGE_THRESHOLD
+        assert _shape(pq) == _shape(ref)
+        assert pq._pending == []
+        pq.check_invariants()
+        assert self._step_both(pq, ref, "pop_min")[:2] == (124, "revived")
+
+    def test_push_pop_cycles_keep_pending_bounded(self):
+        pq = MDListPriorityQueue(dims=4, base=8)
+        for i in range(10_000):
+            pq.push(7, i)
+            assert pq.pop_min()[:2] == (7, i)
+        assert len(pq._pending) <= 1
+        assert pq.purges_total == 0
+        pq.check_invariants()
