@@ -358,7 +358,6 @@ def _cmd_kernelbench(args) -> int:
         procs=args.procs,
         timeouts_per_proc=args.timeouts,
         pooling=not args.no_pooling,
-        scheduler=args.scheduler,
     )
     prof = _ProfileRun(args, "kernelbench")
     with prof, prof.scope("kernelbench.run"):
@@ -932,10 +931,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="take the best of N runs")
     pk.add_argument("--no-pooling", action="store_true",
                     help="disable the event free-list pool")
-    pk.add_argument("--scheduler", choices=["calendar", "heap"],
-                    default="calendar",
-                    help="far-lane event structure (identical event order; "
-                         "only wall throughput differs)")
     pk.add_argument("--emit", nargs="?", const="BENCH_kernel.json",
                     default=None, metavar="PATH",
                     help="write the reported run as JSON (default "

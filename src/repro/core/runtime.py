@@ -56,14 +56,12 @@ class HCL:
         rpc_queue_bound: Optional[int] = None,
         persist_dir: Optional[str] = None,
         fault_plan=None,
-        scheduler: str = "calendar",
         window=None,
     ):
         if isinstance(spec_or_cluster, Cluster):
             self.cluster = spec_or_cluster
         else:
-            self.cluster = Cluster(spec_or_cluster, provider=provider,
-                                   scheduler=scheduler)
+            self.cluster = Cluster(spec_or_cluster, provider=provider)
         if fault_plan is not None:
             self.cluster.install_faults(fault_plan)
         self.sim = self.cluster.sim

@@ -27,13 +27,13 @@ class Cluster:
     """A simulated cluster, ready to run rank processes."""
 
     def __init__(self, spec: ClusterSpec, provider: str = "roce",
-                 oversubscription: float = 1.0, scheduler: str = "calendar"):
+                 oversubscription: float = 1.0):
         from repro.fabric.switch import Switch
 
         self.provider: Provider = get_provider(provider)
         cost = self.provider.apply(spec.cost)
         self.spec = spec.scaled(cost=cost)
-        self.sim = Simulator(scheduler=scheduler)
+        self.sim = Simulator()
         self.rngs = RngRegistry(seed=spec.seed)
         self.nodes: List[Node] = [
             Node(self.sim, i, self.spec) for i in range(self.spec.nodes)

@@ -47,7 +47,6 @@ class KernelBenchReport:
     procs: int
     timeouts_per_proc: int
     pooling: bool
-    scheduler: str
     events_processed: int
     events_recycled: int
     wall_seconds: float
@@ -59,7 +58,6 @@ class KernelBenchReport:
         return [
             ["workload", f"{self.procs} procs x {self.timeouts_per_proc} timeouts"],
             ["pooling", "on" if self.pooling else "off"],
-            ["scheduler", self.scheduler],
             ["events processed", f"{self.events_processed:,}"],
             ["events recycled", f"{self.events_recycled:,}"],
             ["wall time", f"{self.wall_seconds:.3f} s"],
@@ -73,7 +71,6 @@ def run_kernel_bench(
     timeouts_per_proc: int = REFERENCE_TIMEOUTS,
     pooling: bool = True,
     delay: float = 1e-6,
-    scheduler: str = "calendar",
     registry=None,
 ) -> KernelBenchReport:
     """Run the reference workload once and report wall-clock throughput.
@@ -83,13 +80,10 @@ def run_kernel_bench(
     near-future lane, the timeout pool, and the inlined resume loop — the
     same three paths every fabric charge rides.
 
-    ``scheduler`` selects the far-lane event structure ("calendar" or
-    "heap"); both retire events in bit-identical order, so only wall
-    throughput differs between the two variants.  Pass a
-    :class:`~repro.obs.MetricsRegistry` as ``registry`` to receive the
-    post-run ``scheduler/*`` gauges.
+    Pass a :class:`~repro.obs.MetricsRegistry` as ``registry`` to receive
+    the post-run ``scheduler/*`` gauges.
     """
-    sim = Simulator(pooling=pooling, scheduler=scheduler)
+    sim = Simulator(pooling=pooling)
 
     def worker():
         timeout = sim.timeout
@@ -113,7 +107,6 @@ def run_kernel_bench(
         procs=procs,
         timeouts_per_proc=timeouts_per_proc,
         pooling=pooling,
-        scheduler=scheduler,
         events_processed=events,
         events_recycled=stats["events_recycled"],
         wall_seconds=wall,

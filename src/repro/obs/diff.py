@@ -70,7 +70,7 @@ _NOISY_FRAGMENTS = ("wall", "events_per_sec", "elapsed")
 _WORKLOAD_KEYS = (
     "scale", "nodes", "procs_per_node", "procs", "clients", "tenants",
     "ops_per_client", "keys_per_tenant", "events_processed", "seed",
-    "theta", "sim_only", "scheduler",
+    "theta", "sim_only",
 )
 
 #: tuning knobs: config keys an A/B experiment deliberately varies.  A

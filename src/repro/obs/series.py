@@ -29,7 +29,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.obs.registry import MetricsRegistry, registry_of
 from repro.simnet.stats import Counter, Gauge, Histogram
-from repro.simnet.trace import EventLog, TimeSeries
+from repro.simnet.trace import EventLog, TimeSeries, pump_step
 
 __all__ = ["FlightRecorder", "select_matches"]
 
@@ -163,7 +163,6 @@ class FlightRecorder:
         every missed nominal tick.
         """
         sim = self.sim
-        inf = float("inf")
         if self._next is None:
             self._next = sim.now + self.interval
         while True:
@@ -177,15 +176,8 @@ class FlightRecorder:
                     nxt = sim.now + self.interval
                 self._next = nxt
                 continue
-            p = sim.peek()
-            if p <= nxt:
-                sim.step()
-            elif p != inf or until is not None:
-                # Idle gap the unrecorded clock crosses anyway — a later
-                # real event exists, or ``run(until=...)`` pads past it.
-                sim.run(until=nxt)
-            else:
-                break  # drain mode, nothing pending: the sample lapses
+            if not pump_step(sim, nxt, until):
+                break
         sim.run(until=until)
         return sim.now
 

@@ -14,13 +14,12 @@ many simulated events the kernel can retire per wall-clock second:
   fire time, an out-of-band priority) falls back to the *far lane*.  Pops
   merge the two lanes by comparing their heads, so the global
   ``(time, priority, seq)`` order is *identical* to a single-heap kernel.
-* **A configurable far lane.**  ``Simulator(scheduler="calendar")`` (the
-  default) backs the far lane with a :class:`_CalendarQueue` — O(1) amortized
-  push into time-indexed buckets, with an adaptive bucket width — which beats
-  the binary heap once app workloads put thousands of out-of-order entries in
-  flight.  ``scheduler="heap"`` retains the classic ``heapq`` far lane; both
-  retire events in exactly the same ``(time, priority, seq)`` order, and the
-  tier-1 suite asserts trace equivalence between them on every run.
+* **A calendar-queue far lane.**  The far lane is a :class:`_CalendarQueue`
+  — O(1) amortized push into time-indexed buckets, with an adaptive bucket
+  width — that retires entries in exactly a binary heap's
+  ``(time, priority, seq)`` order (``tests/test_simnet_calendar.py`` checks
+  it against a ``heapq`` reference); a perfbench A/B chose it over a heap
+  far lane (see ``docs/PERFORMANCE.md``).
 * **An inlined waiter slot.**  The overwhelmingly common wait shape is one
   process blocked on one event.  That single waiter lives in the event's
   ``_wait`` slot instead of the callbacks list, and the drain loop resumes
@@ -48,7 +47,6 @@ import sys
 from typing import Any, Callable, Iterable, Optional
 
 from collections import deque
-from functools import partial as _partial
 
 __all__ = [
     "Event",
@@ -137,6 +135,8 @@ class Event:
         """Trigger the event with ``value`` after ``delay`` sim-seconds."""
         if self._state != _PENDING:
             raise SimulationError("event already triggered")
+        if delay < 0:
+            raise ValueError(f"negative succeed delay: {delay}")
         self._value = value
         self._ok = True
         self._state = _TRIGGERED
@@ -158,6 +158,8 @@ class Event:
             raise SimulationError("event already triggered")
         if not isinstance(exc, BaseException):
             raise TypeError("fail() requires an exception instance")
+        if delay < 0:
+            raise ValueError(f"negative fail delay: {delay}")
         self._value = exc
         self._ok = False
         self._state = _TRIGGERED
@@ -230,7 +232,7 @@ class Timeout(Event):
 
 
 class _ScheduledCallback:
-    """Kernel-owned heap entry that runs ``fn()`` with no Event machinery.
+    """Kernel-owned queue entry that runs ``fn()`` with no Event machinery.
 
     Never handed to user code, so instances are recycled unconditionally.
     """
@@ -342,8 +344,9 @@ class _CalendarQueue:
     Later entries are appended unsorted to time-indexed buckets
     (``int(t // width)``); when ``current`` drains, the earliest bucket is
     popped, sorted once, and becomes the new epoch.  The epoch boundary
-    (``horizon``) only matters for routing pushes: anything earlier is
-    insorted into ``current``, so the pop order is *exactly* the heap's
+    (``horizon``) only matters for routing pushes: anything earlier, or
+    ordered before ``current``'s largest entry, is insorted into
+    ``current``, so the pop order is *exactly* the heap's
     ``(time, priority, seq)`` order (seqs are unique, so ties never reach
     the event object).
 
@@ -375,10 +378,13 @@ class _CalendarQueue:
 
     def push(self, entry: tuple) -> None:
         t = entry[0]
-        if t < self.horizon:
+        cur = self.current
+        # An entry ordered before current's largest (``cur[0]``) joins the
+        # epoch even at or past ``horizon``: a refilled top bucket holds
+        # times from _T_CAP up to ``inf``, beyond its own ``horizon``.
+        if t < self.horizon or (cur and entry < cur[0]):
             # Active epoch: descending insort.  Tail check first — most
             # far pushes are *earlier* than everything already queued.
-            cur = self.current
             if not cur or entry < cur[-1]:
                 cur.append(entry)
                 return
@@ -483,26 +489,12 @@ class Simulator:
 
     ``run`` executes events until both lanes are empty or ``until`` is
     reached.  ``pooling=False`` disables event recycling (debug aid).
-    ``scheduler`` picks the far-lane implementation: ``"calendar"`` (the
-    default :class:`_CalendarQueue`) or ``"heap"`` (classic ``heapq``);
-    both retire events in identical ``(time, priority, seq)`` order.
     """
 
-    def __init__(self, pooling: bool = True, scheduler: str = "calendar"):
-        if scheduler not in ("calendar", "heap"):
-            raise ValueError(
-                f"scheduler must be 'calendar' or 'heap', got {scheduler!r}")
-        self.scheduler = scheduler
-        self._heap: list[tuple[float, int, int, Any]] = []
-        self._cal: Optional[_CalendarQueue] = (
-            _CalendarQueue() if scheduler == "calendar" else None
-        )
-        # All far pushes funnel through this bound callable so the five
-        # inlined hot paths stay scheduler-agnostic.
-        if self._cal is not None:
-            self._far_push = self._cal.push
-        else:
-            self._far_push = _partial(heapq.heappush, self._heap)
+    def __init__(self, pooling: bool = True):
+        self._cal = _CalendarQueue()
+        # Bound once: the five inlined hot paths push through it.
+        self._far_push = self._cal.push
         # Near-future lane: entries appended here are non-decreasing in
         # (time, priority), so the deque is sorted by construction.
         self._lane: deque[tuple[float, int, int, Any]] = deque()
@@ -668,7 +660,7 @@ class Simulator:
 
         Entries whose ``(time, priority)`` is >= the near-future lane's tail
         keep the lane sorted and go there (O(1)); everything else falls back
-        to the binary heap.  Pops merge both, preserving exact
+        to the far lane.  Pops merge both, preserving exact
         ``(time, priority, seq)`` order.
         """
         self._seq = seq = self._seq + 1
@@ -680,27 +672,15 @@ class Simulator:
         else:
             self._far_push((t, priority, seq, event))
 
-    def _far_len(self) -> int:
-        cal = self._cal
-        return len(cal) if cal is not None else len(self._heap)
-
     # -- execution ------------------------------------------------------------
     def step(self) -> None:
         """Process the single next event."""
         lane = self._lane
-        cal = self._cal
-        if cal is None:
-            heap = self._heap
-            if lane and (not heap or lane[0] < heap[0]):
-                t, _prio, _seq, event = lane.popleft()
-            else:
-                t, _prio, _seq, event = heapq.heappop(heap)
+        far = self._cal.peek()
+        if lane and (far is None or lane[0] < far):
+            t, _prio, _seq, event = lane.popleft()
         else:
-            far = cal.peek()
-            if lane and (far is None or lane[0] < far):
-                t, _prio, _seq, event = lane.popleft()
-            else:
-                t, _prio, _seq, event = cal.pop()
+            t, _prio, _seq, event = self._cal.pop()
         if t < self.now:  # pragma: no cover - defensive
             raise SimulationError("time went backwards")
         self.now = t
@@ -743,15 +723,7 @@ class Simulator:
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         lane = self._lane
-        cal = self._cal
-        if cal is None:
-            heap = self._heap
-            if lane:
-                if heap and heap[0][0] < lane[0][0]:
-                    return heap[0][0]
-                return lane[0][0]
-            return heap[0][0] if heap else float("inf")
-        far = cal.peek()
+        far = self._cal.peek()
         if lane:
             if far is not None and far[0] < lane[0][0]:
                 return far[0]
@@ -761,20 +733,18 @@ class Simulator:
     def run(self, until: Optional[float] = None) -> None:
         """Run until both lanes drain or sim-time passes ``until``."""
         if until is not None:
-            while (self._lane or self._far_len()) and self.peek() <= until:
+            while (self._lane or len(self._cal)) and self.peek() <= until:
                 self.step()
             if self.now < until:
                 self.now = until
             return
-        if self._cal is not None:
-            self._run_calendar()
-        else:
-            self._run_heap()
+        self._drain()
 
-    # The two drain loops below are fully inlined, with per-class dispatch
-    # for the dominant entry kinds: at paper scale they retire millions of
-    # events, and every avoided frame counts.  They differ ONLY in how the
-    # far lane's head is popped/merged — keep the dispatch bodies in sync.
+    # The drain loop below is fully inlined, with per-class dispatch for the
+    # dominant entry kinds: at paper scale it retires millions of events,
+    # and every avoided frame counts.  It merges the lane head with the
+    # calendar's ``current`` tail directly, refilling ``current`` from the
+    # next bucket whenever it runs dry.
     #
     # Timeout dispatch also inlines the single-waiter resume: the waiting
     # process parked in ``event._wait`` is stepped right here (generator
@@ -785,99 +755,7 @@ class Simulator:
     # interrupted waits, and a StopIteration/exception settles the process
     # exactly as Process._resume would.
 
-    def _run_heap(self) -> None:
-        heap = self._heap
-        lane = self._lane
-        popleft = lane.popleft
-        heappop = heapq.heappop
-        pooling = self._pooling
-        timeout_pool = self._timeout_pool
-        event_pool = self._event_pool
-        cb_pool = self._cb_pool
-        getrefcount = _getrefcount
-        timeout_cls = Timeout
-        cb_cls = _ScheduledCallback
-        event_cls = Event
-        processed = _PROCESSED
-        # Event-count is accumulated locally and flushed on exit (including
-        # re-entrant runs: each loop flushes only the events it popped).
-        count = 0
-        try:
-            while lane or heap:
-                if lane and (not heap or lane[0] < heap[0]):
-                    t, _prio, _seq, event = popleft()
-                else:
-                    t, _prio, _seq, event = heappop(heap)
-                self.now = t
-                count += 1
-                cls = event.__class__
-                if cls is timeout_cls:
-                    # Inlined Timeout._process.
-                    event._state = processed
-                    w = event._wait
-                    if w is not None:
-                        event._wait = None
-                        if w._waiting_on is event:
-                            w._waiting_on = None
-                            try:
-                                target = w._send(event._value)
-                            except StopIteration as stop:
-                                w.succeed(stop.value)
-                            except BaseException as err:
-                                w.fail(err)
-                            else:
-                                if isinstance(target, event_cls):
-                                    if target._state != processed:
-                                        w._waiting_on = target
-                                        if (target._wait is None
-                                                and not target.callbacks):
-                                            target._wait = w
-                                        else:
-                                            target.callbacks.append(
-                                                w._resume_cb)
-                                    else:
-                                        w._kick(target)
-                                else:
-                                    w._reject_yield(target)
-                                # Drop our ref so the pooling refcount
-                                # proof holds when `target` is popped.
-                                target = None
-                    callbacks = event.callbacks
-                    if callbacks:
-                        for cb in callbacks:
-                            cb(event)
-                        callbacks.clear()
-                    # refcount 2 == our local + getrefcount's argument:
-                    # nothing else can observe this event again.
-                    if (pooling and not callbacks and event._wait is None
-                            and getrefcount(event) == 2
-                            and len(timeout_pool) < _POOL_CAP):
-                        event._state = 0
-                        event._value = None
-                        event._ok = True
-                        timeout_pool.append(event)
-                        self._recycled += 1
-                elif cls is cb_cls:
-                    # Inlined _ScheduledCallback._process + recycle.
-                    event.fn()
-                    if pooling and len(cb_pool) < _POOL_CAP:
-                        event.fn = None
-                        cb_pool.append(event)
-                else:
-                    event._process()
-                    if (pooling and cls is event_cls and not event.callbacks
-                            and event._wait is None
-                            and getrefcount(event) == 2
-                            and len(event_pool) < _POOL_CAP):
-                        event._state = 0
-                        event._value = None
-                        event._ok = True
-                        event_pool.append(event)
-                        self._recycled += 1
-        finally:
-            self._event_count += count
-
-    def _run_calendar(self) -> None:
+    def _drain(self) -> None:
         cal = self._cal
         cur = cal.current  # identity-stable: _refill assigns in place
         lane = self._lane
@@ -891,6 +769,8 @@ class Simulator:
         cb_cls = _ScheduledCallback
         event_cls = Event
         processed = _PROCESSED
+        # Event-count is accumulated locally and flushed on exit (including
+        # re-entrant runs: each loop flushes only the events it popped).
         count = 0
         try:
             while True:
@@ -1000,18 +880,14 @@ class Simulator:
 
     def kernel_stats(self) -> dict:
         """Observability snapshot of the kernel fast paths."""
-        stats = {
+        return {
             "events_processed": self._event_count,
             "events_recycled": self._recycled,
             "timeout_pool": len(self._timeout_pool),
             "event_pool": len(self._event_pool),
             "callback_pool": len(self._cb_pool),
             "lane_depth": len(self._lane),
-            "heap_depth": len(self._heap),
-            "far_depth": self._far_len(),
-            "scheduler": self.scheduler,
+            "far_depth": len(self._cal),
             "pooling": self._pooling,
+            "calendar": self._cal.stats(),
         }
-        if self._cal is not None:
-            stats["calendar"] = self._cal.stats()
-        return stats

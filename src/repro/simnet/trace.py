@@ -14,7 +14,28 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.simnet.core import Simulator
 
-__all__ = ["TimeSeries", "Sampler", "EventLog"]
+__all__ = ["TimeSeries", "Sampler", "EventLog", "pump_step"]
+
+
+def pump_step(sim: Simulator, nxt: float, until: Optional[float]) -> bool:
+    """Advance ``sim`` one zero-perturbation step toward sample time ``nxt``.
+
+    The shared step of the sampling pumps: process the next real event if
+    it is due at or before ``nxt``; otherwise jump the clock to ``nxt``
+    across an idle gap the unsampled run crosses anyway (a later real
+    event exists, or ``run(until=...)`` pads past it).  Returns False,
+    leaving the clock alone, in drain mode with nothing pending — a
+    pump then stops, and its pending sample waits for a later ``pump``
+    call or lapses.
+    """
+    p = sim.peek()
+    if p <= nxt:
+        sim.step()
+    elif p != float("inf") or until is not None:
+        sim.run(until=nxt)
+    else:
+        return False
+    return True
 
 
 class TimeSeries:
@@ -149,7 +170,6 @@ class Sampler:
         """
         sim = self.sim
         armed = self._armed
-        inf = float("inf")
         while armed:
             nxt = armed[0]
             if until is not None and nxt > until:
@@ -158,17 +178,8 @@ class Sampler:
                 armed.popleft()
                 self.sample_once()
                 continue
-            p = sim.peek()
-            if p <= nxt:
-                sim.step()
-            elif p != inf or until is not None:
-                # Idle gap the untraced clock crosses anyway — a later
-                # real event exists, or ``run(until=...)`` pads past it
-                # — so jump to the sample point and record there.
-                sim.run(until=nxt)
-            else:
-                break  # drain mode, nothing pending: never advance an
-                #        idle clock; remaining samples wait or lapse
+            if not pump_step(sim, nxt, until):
+                break
         sim.run(until=until)
         return sim.now
 

@@ -44,6 +44,26 @@ class TestEvent:
         sim.run()
         assert sim.now == 5.0
 
+    def test_negative_delay_rejected(self, sim):
+        # A negative delay would schedule the event before ``now`` and
+        # move the clock backwards when it fires.
+        seen = []
+
+        def proc():
+            yield sim.timeout(5)
+            ev = sim.event()
+            with pytest.raises(ValueError):
+                ev.succeed("x", delay=-3)
+            with pytest.raises(ValueError):
+                ev.fail(RuntimeError("y"), delay=-2)
+            assert not ev.triggered
+            seen.append((yield ev.succeed("x", delay=1)))
+            seen.append(sim.now)
+
+        sim.process(proc())
+        sim.run()
+        assert seen == ["x", 6.0]
+
 
 class TestTimeout:
     def test_timeout_advances_clock(self, sim):
