@@ -68,11 +68,11 @@ class HCLPriorityQueue(DistributedContainer):
         stats = OpStats()
         total_bytes = 16
         for priority, value in entries:
-            stats = stats.merge(part.structure.push(priority, value))
+            stats.absorb(part.structure.push(priority, value))
             total_bytes += self._entry_bytes(priority, value)
         grow = self._maybe_grow(part, total_bytes // max(1, len(entries)))
         if grow is not None:
-            stats = stats.merge(grow)
+            stats.absorb(grow)
         return True, stats, max(64, total_bytes // max(1, len(entries)))
 
     def _do_pop_many(self, part: Partition, count):
@@ -84,7 +84,7 @@ class HCLPriorityQueue(DistributedContainer):
             except PriorityQueueEmpty:
                 break
             out.append((priority, value))
-            stats = stats.merge(s)
+            stats.absorb(s)
         return out, stats, 64
 
     def _do_peek(self, part: Partition):

@@ -13,19 +13,32 @@ coordinate order equals priority order.  Operations:
   predecessor, splice the new node in (one CAS at the attach point).  Cost
   is O(D + N^(1/D)) hops — logarithmic-ish, matching Table I's
   ``L·log(N) + W`` for push.
-* ``pop_min`` — the minimum is the leftmost path; nodes are *logically*
-  deleted (marked) and a **purge pass** physically unlinks batches of
-  marked nodes when their count passes a threshold, exactly the paper's
-  background-purge behaviour.  Stats expose hops and purged counts.
+* ``pop_min`` — the minimum is the first unmarked node in pre-order
+  (which is sorted-key order); nodes are *logically* deleted (marked) and
+  a **purge pass** physically unlinks the marked nodes when their count
+  passes a threshold, exactly the paper's background-purge behaviour.
+  Stats expose hops and purged counts.
 
-Duplicate priorities are allowed (each node carries a FIFO list of values,
-resolving "conflicts based on arrival time and priority").
+The walk from the head to the first unmarked node is charged but not
+performed: every node ahead of it is marked, so its hop count is one plus
+the number of marked keys below the live minimum.  An exact index kept
+under the lock — ``_nodes`` (key to node), ``_live`` (a heap of the
+unmarked keys, no stale entries) and ``_marked_keys`` (the marked keys,
+sorted) — finds the node and that count in O(log n), and gives the purge
+its nodes in ascending order.
+
+Duplicate priorities are allowed (each node carries a FIFO of values,
+resolving "conflicts based on arrival time and priority"); popping a run
+of equal priorities costs O(1) per value.
 """
 
 from __future__ import annotations
 
+import heapq
 import threading
-from typing import Any, Iterator, List, Optional, Tuple
+from bisect import bisect_left, insort
+from collections import deque
+from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.structures.stats import OpStats
 
@@ -37,15 +50,17 @@ class PriorityQueueEmpty(Exception):
 
 
 class _MNode:
-    __slots__ = ("key", "coord", "values", "children", "marked", "pending")
+    __slots__ = ("key", "coord", "values", "children", "marked")
 
     def __init__(self, key: int, coord: Tuple[int, ...], dims: int):
         self.key = key
         self.coord = coord
-        self.values: List[Any] = []  # FIFO among equal priorities
+        # FIFO among equal priorities.  A node holding two or more values
+        # holds a deque (O(1) pops from the front); a one-slot list costs
+        # 64 bytes against a deque's 760, and most nodes hold one value.
+        self.values: Union[List[Any], Deque[Any]] = []
         self.children: List[Optional[_MNode]] = [None] * dims
         self.marked = False
-        self.pending = False  # listed in the queue's _pending purge list
 
 
 class MDListPriorityQueue:
@@ -64,13 +79,14 @@ class MDListPriorityQueue:
         self.dims = dims
         self.base = base
         self.key_limit = base ** dims
+        self._divisors = tuple(base ** d for d in range(dims - 1, -1, -1))
         head_coord = tuple([-1] * dims)  # strictly below every real coordinate
         self._head = _MNode(-1, head_coord, dims)  # sentinel below all keys
         self._head.marked = True
         self._count = 0
-        self._marked_count = 0
-        self._pending: List[_MNode] = []  # marked since the last purge
-        self._stamp = 0
+        self._nodes: Dict[int, _MNode] = {}  # every node in the list
+        self._live: List[int] = []  # heap of the unmarked nodes' keys
+        self._marked_keys: List[int] = []  # sorted keys of the marked nodes
         self._lock = threading.Lock()
         self.purges_total = 0
 
@@ -99,10 +115,8 @@ class MDListPriorityQueue:
                 f"priority {key} outside [0, {self.key_limit}) for "
                 f"dims={self.dims}, base={self.base}"
             )
-        coord = []
-        for d in range(self.dims - 1, -1, -1):
-            coord.append((key // (self.base ** d)) % self.base)
-        return tuple(coord)
+        base = self.base
+        return tuple([(key // div) % base for div in self._divisors])
 
     # -- push -----------------------------------------------------------------------
     def push(self, key: int, value: Any) -> OpStats:
@@ -113,16 +127,23 @@ class MDListPriorityQueue:
             stats.local_ops += hops
             if node is not None:
                 # Same priority: append in arrival order.
-                node.values.append(value)
+                values = node.values
+                if len(values) == 1:
+                    node.values = values = deque(values)
+                values.append(value)
                 if node.marked:
                     node.marked = False
-                    self._marked_count -= 1
+                    marked_keys = self._marked_keys
+                    del marked_keys[bisect_left(marked_keys, key)]
+                    heapq.heappush(self._live, key)
                 stats.writes += 1
                 stats.cas_ops += 1
             else:
                 fresh = _MNode(key, coord, self.dims)
                 fresh.values.append(value)
                 self._splice(fresh, parent, dim, adopt_dim)
+                self._nodes[key] = fresh
+                heapq.heappush(self._live, key)
                 stats.writes += 1
                 stats.cas_ops += 1  # the attach-point CAS
             self._count += 1
@@ -164,16 +185,15 @@ class MDListPriorityQueue:
         pred = self._head
         pred_dim = 0
         curr: Optional[_MNode] = self._head
-        d = 0
         hops = 0
-        while d < self.dims:
-            while curr is not None and coord[d] > curr.coord[d]:
+        # A tie in dimension d stays on the node and goes on to d + 1.
+        for d, c in enumerate(coord):
+            while curr is not None and c > curr.coord[d]:
                 pred, pred_dim = curr, d
                 curr = curr.children[d]
                 hops += 1
-            if curr is None or coord[d] < curr.coord[d]:
+            if curr is None or c < curr.coord[d]:
                 return None, pred, pred_dim, d, hops
-            d += 1  # equal in dimension d: descend a dimension in place
         return curr, pred, pred_dim, self.dims - 1, hops
 
     # -- pop ---------------------------------------------------------------------------
@@ -185,19 +205,17 @@ class MDListPriorityQueue:
                 raise PriorityQueueEmpty()
             node, hops = self._find_min()
             stats.local_ops += hops
-            if node is None:  # pragma: no cover - count said otherwise
-                raise PriorityQueueEmpty()
             stats.reads += 1
             stats.cas_ops += 1  # the deletion mark
-            value = node.values.pop(0)
+            values = node.values
+            # Two or more values are held in a deque; see ``_MNode``.
+            value = values.popleft() if len(values) > 1 else values.pop()
             self._count -= 1
-            if not node.values:
+            if not values:
                 node.marked = True
-                self._marked_count += 1
-                if not node.pending:  # a revived node is already listed
-                    node.pending = True
-                    self._pending.append(node)
-                if self._marked_count >= self.PURGE_THRESHOLD:
+                heapq.heappop(self._live)  # ``node`` is the live minimum
+                insort(self._marked_keys, node.key)
+                if len(self._marked_keys) >= self.PURGE_THRESHOLD:
                     stats.relocations += self._purge()
             return node.key, value, stats
 
@@ -226,37 +244,41 @@ class MDListPriorityQueue:
                 if child is not None:
                     stack.append(child)
 
-    def _find_min(self) -> Tuple[Optional[_MNode], int]:
-        """First unmarked node in sorted order — skips logically-deleted
-        nodes, whose accumulation the purge pass bounds."""
-        hops = 0
-        for node in self._preorder():
-            hops += 1
-            if not node.marked:
-                return node, hops
-        return None, hops
+    def _find_min(self) -> Tuple[_MNode, int]:
+        """First unmarked node in sorted order, and the hops of the walk
+        to it from the head.
+
+        Pre-order is sorted-key order and every node ahead of the first
+        unmarked one is marked, so the walk visits exactly the marked
+        nodes below the live minimum, then the minimum itself.  The
+        caller guarantees a live node exists.
+        """
+        node = self._nodes[self._live[0]]
+        return node, bisect_left(self._marked_keys, node.key) + 1
 
     def _purge(self) -> int:
         """Physically unlink the marked nodes (the background purge pass).
 
-        Only the nodes ``pop_min`` marked since the last purge are visited;
-        those a push has revived are skipped.  ``_locate`` finds each
-        still-marked node's exact parent slot, and ``_unlink`` replaces it
-        there by its heir.  The MDList's shape is a function of the key set
-        it holds, so the result is the shape a rebuild from the live nodes
+        The marked nodes are visited in ascending key order.  A marked
+        prefix node is the list's first node by the time its turn comes,
+        so it sits at ``head.children[0]``; any other marked node's parent
+        slot is found by ``_locate``.  ``_unlink`` replaces each node there
+        by its heir.  The MDList's shape is a function of the key set it
+        holds, so the result is the shape a rebuild from the live nodes
         would give, at O(marked * (dims + base)) instead of O(N).  Returns
         the number of nodes removed.
         """
-        removed = 0
-        for node in self._pending:
-            node.pending = False
-            if not node.marked:
-                continue
-            _node, pred, pred_dim, _adopt, _hops = self._locate(node.coord)
-            self._unlink(node, pred, pred_dim)
-            removed += 1
-        self._pending = []
-        self._marked_count = 0
+        head = self._head
+        nodes = self._nodes
+        for key in self._marked_keys:
+            node = nodes.pop(key)
+            if head.children[0] is node:
+                self._unlink(node, head, 0)
+            else:
+                _node, pred, pred_dim, _adopt, _hops = self._locate(node.coord)
+                self._unlink(node, pred, pred_dim)
+        removed = len(self._marked_keys)
+        self._marked_keys = []
         self.purges_total += 1
         return removed
 
@@ -291,7 +313,9 @@ class MDListPriorityQueue:
 
     def check_invariants(self) -> None:
         seen = 0
-        marked = 0
+        reachable = {}
+        live = []
+        marked = []
         last_key = -1
         for node in self._preorder():
             assert self.coordinate(node.key) == node.coord, "coord mismatch"
@@ -299,15 +323,25 @@ class MDListPriorityQueue:
                 f"preorder not sorted: {node.key} after {last_key}"
             )
             last_key = node.key
+            reachable[node.key] = node
+            assert node.marked == (not node.values), (
+                f"node {node.key} marked={node.marked} with "
+                f"{len(node.values)} values"
+            )
+            assert len(node.values) < 2 or isinstance(node.values, deque), (
+                f"node {node.key} holds {len(node.values)} values in a list"
+            )
             if node.marked:
-                marked += 1
-                assert node.pending, f"marked node {node.key} not pending"
+                marked.append(node.key)
             else:
+                live.append(node.key)
                 seen += len(node.values)
         assert seen == self._count, f"live values {seen} != count {self._count}"
-        assert marked == self._marked_count, (
-            f"marked nodes {marked} != marked count {self._marked_count}"
-        )
+
+        # The index: exact, no stale entries.
+        assert self._nodes == reachable, "node index != reachable nodes"
+        assert sorted(self._live) == live, "live heap != unmarked keys"
+        assert self._marked_keys == marked, "marked keys != marked nodes"
 
         # Structural: every child is adopted at its first-diff dimension,
         # and no node has a child below the dimension it is attached at

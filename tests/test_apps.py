@@ -85,6 +85,18 @@ class TestIsx:
         with pytest.raises(ValueError):
             run_isx("mpi", tiny_spec)
 
+    @pytest.mark.parametrize("aggregation,sim_seconds", [
+        (64, 0.01139283115161989),
+        (0, 0.02143883159024583),
+    ])
+    def test_hcl_simulated_time_pinned(self, aggregation, sim_seconds):
+        """The MDList's hop counts reach the simulated time through every
+        layer; a change to how they are computed must not move it."""
+        result = run_isx("hcl", ares_like(4, 3, seed=1), keys_per_rank=1000,
+                         aggregation=aggregation, seed=1)
+        assert result.verified
+        assert result.time_seconds == sim_seconds
+
 
 class TestKmer:
     def test_hcl_counts_exact(self, tiny_spec, genome_data):

@@ -123,6 +123,24 @@ class TestMDList:
         assert pq.pop_min()[:2] == (7, "second")
         assert pq.pop_min()[:2] == (7, "third")
 
+    def test_duplicates_fifo_through_interleaved_revives(self):
+        """Values of one priority move from a list to a deque as they pile
+        up; arrival order must hold across that switch and revives."""
+        pq = MDListPriorityQueue(dims=2, base=4)
+        ref = {3: [], 9: []}
+        rng = random.Random(11)
+        for i in range(2000):
+            if len(pq) and rng.random() < 0.5:
+                key = min(k for k, vs in ref.items() if vs)
+                assert pq.pop_min()[:2] == (key, ref[key].pop(0))
+            else:
+                key = rng.choice((3, 9))
+                pq.push(key, i)
+                ref[key].append(i)
+            if i % 100 == 0:
+                pq.check_invariants()
+        pq.check_invariants()
+
     def test_key_bounds_checked(self):
         pq = MDListPriorityQueue(dims=2, base=4)  # keys < 16
         pq.push(15, None)
@@ -202,8 +220,22 @@ class TestMDList:
         assert worst <= 8 * 16 + 8
 
 
+def _walk_min(pq):
+    """The Zhang-Dechev walk: the first unmarked node in pre-order and the
+    hops from the head to it."""
+    hops = 0
+    for node in pq._preorder():
+        hops += 1
+        if not node.marked:
+            return node, hops
+    raise AssertionError("walked past the last node")
+
+
 class _RebuildPurgePQ(MDListPriorityQueue):
-    """Reference purge: rebuild the whole structure from its live nodes."""
+    """Reference queue: walks to the minimum, and purges by rebuilding the
+    whole structure from its live nodes."""
+
+    _find_min = _walk_min
 
     def _purge(self) -> int:
         live = []
@@ -214,8 +246,9 @@ class _RebuildPurgePQ(MDListPriorityQueue):
             else:
                 live.append((node.key, node.values))
         self._head.children = [None] * self.dims
-        self._marked_count = 0
-        self._pending = []
+        self._nodes = {}
+        self._live = [key for key, _values in live]  # sorted: a valid heap
+        self._marked_keys = []
         self.purges_total += 1
         for key, values in live:
             coord = self.coordinate(key)
@@ -223,6 +256,7 @@ class _RebuildPurgePQ(MDListPriorityQueue):
             fresh = _MNode(key, coord, self.dims)
             fresh.values = values
             self._splice(fresh, pred, pred_dim, adopt_dim)
+            self._nodes[key] = fresh
         return removed
 
 
@@ -245,8 +279,13 @@ def _stats_fields(stats):
             stats.relocations)
 
 
+def _live_nodes(pq):
+    return sum(1 for node in pq._preorder() if not node.marked)
+
+
 class TestMDListInPlacePurge:
-    """The in-place purge must leave exactly the rebuild's structure."""
+    """The in-place purge must leave exactly the rebuild's structure, and
+    the indexed minimum must charge exactly the walk's hops."""
 
     @staticmethod
     def _step_both(pq, ref, op, *args):
@@ -254,10 +293,16 @@ class TestMDListInPlacePurge:
         want = getattr(ref, op)(*args)
         if op == "push":
             assert _stats_fields(out) == _stats_fields(want)
+        elif op == "peek_min":
+            assert out == want
         else:
             assert out[:2] == want[:2]
             assert _stats_fields(out[2]) == _stats_fields(want[2])
         assert pq.purges_total == ref.purges_total
+        if len(pq):
+            node, hops = pq._find_min()
+            walked, walked_hops = _walk_min(pq)
+            assert (node, hops) == (walked, walked_hops)
         return out
 
     @pytest.mark.parametrize(
@@ -308,7 +353,8 @@ class TestMDListInPlacePurge:
         assert pq.purges_total == 1
         assert relocations == pq.PURGE_THRESHOLD
         assert _shape(pq) == _shape(ref)
-        assert pq._pending == []
+        assert pq._marked_keys == []
+        assert len(pq._live) == _live_nodes(pq)
         pq.check_invariants()
         assert self._step_both(pq, ref, "pop_min")[:2] == (124, "revived")
 
@@ -317,6 +363,58 @@ class TestMDListInPlacePurge:
         for i in range(10_000):
             pq.push(7, i)
             assert pq.pop_min()[:2] == (7, i)
-        assert len(pq._pending) <= 1
+        assert len(pq._marked_keys) <= 1
+        assert len(pq._live) == _live_nodes(pq) == 0
+        assert len(pq._nodes) <= 1
         assert pq.purges_total == 0
+        pq.check_invariants()
+
+    def test_push_below_marked_prefix(self):
+        pq = MDListPriorityQueue(dims=4, base=8)
+        ref = _RebuildPurgePQ(dims=4, base=8)
+        for k in range(10, 20):
+            self._step_both(pq, ref, "push", k, k)
+        for _ in range(5):  # marks 10..14
+            self._step_both(pq, ref, "pop_min")
+        self._step_both(pq, ref, "push", 3, "low")
+        low = self._step_both(pq, ref, "pop_min")
+        assert low[:2] == (3, "low")
+        assert low[2].local_ops == 1  # the new node is the first one
+        nxt = self._step_both(pq, ref, "pop_min")
+        assert nxt[:2] == (15, 15)
+        assert nxt[2].local_ops == 1 + 6  # over 3 and 10..14
+        assert pq.purges_total == 0
+        pq.check_invariants()
+
+    def test_revive_in_middle_of_marked_prefix(self):
+        pq = MDListPriorityQueue(dims=4, base=8)
+        ref = _RebuildPurgePQ(dims=4, base=8)
+        for k in range(10):
+            self._step_both(pq, ref, "push", k, k)
+        for _ in range(6):  # marks 0..5
+            self._step_both(pq, ref, "pop_min")
+        self._step_both(pq, ref, "push", 3, "again")
+        assert pq._marked_keys == [0, 1, 2, 4, 5]
+        revived = self._step_both(pq, ref, "pop_min")
+        assert revived[:2] == (3, "again")
+        assert revived[2].local_ops == 1 + 3  # over 0, 1, 2
+        nxt = self._step_both(pq, ref, "pop_min")
+        assert nxt[:2] == (6, 6)
+        assert nxt[2].local_ops == 1 + 6  # over 0..5
+        pq.check_invariants()
+
+    def test_peek_on_marked_prefix(self):
+        pq = MDListPriorityQueue(dims=4, base=8)
+        ref = _RebuildPurgePQ(dims=4, base=8)
+        for k in range(10):
+            self._step_both(pq, ref, "push", k, f"v{k}")
+        self._step_both(pq, ref, "push", 4, "w4")
+        for _ in range(4):  # marks 0..3
+            self._step_both(pq, ref, "pop_min")
+        for _ in range(2):
+            assert self._step_both(pq, ref, "peek_min") == (4, "v4")
+        assert len(pq) == 7
+        assert pq._find_min()[1] == 1 + 4
+        assert self._step_both(pq, ref, "pop_min")[:2] == (4, "v4")
+        assert self._step_both(pq, ref, "peek_min") == (4, "w4")
         pq.check_invariants()
